@@ -219,8 +219,9 @@ pub struct ChaosReport {
     /// histograms).
     pub telemetry: TelemetrySnapshot,
     /// Suspicion → re-dispatch gaps of every resolved failover annotation
-    /// across the run — the per-plan post-heal recovery-gap histogram the
-    /// chaos bench embeds.
+    /// across the run (the aggregated `span.failover_recovery_gap` series)
+    /// — the per-plan post-heal recovery-gap histogram the chaos bench
+    /// embeds.
     pub recovery_gaps: Histogram,
 }
 
@@ -426,18 +427,8 @@ impl ChaosOracle {
             _ => SimDuration::ZERO,
         };
         let telemetry = g.telemetry();
-        let mut recovery_gaps = Histogram::new();
-        for (i, _) in g.coords.iter().enumerate() {
-            if let Some(c) = g.coordinator(i) {
-                for (_, span) in c.spans().iter() {
-                    for f in &span.failovers {
-                        if let Some(gap) = f.recovery_gap() {
-                            recovery_gaps.record_gap(gap);
-                        }
-                    }
-                }
-            }
-        }
+        let recovery_gaps =
+            telemetry.hist("span.failover_recovery_gap").cloned().unwrap_or_default();
         ChaosReport {
             seed: cfg.seed,
             intensity: cfg.intensity,

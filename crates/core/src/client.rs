@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use rpcv_detect::CoordinatorList;
-use rpcv_log::SenderLog;
+use rpcv_log::{GcPolicy, SenderLog};
 use rpcv_obs::{ExportTelemetry, Histogram, Registry, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
@@ -220,7 +220,7 @@ impl ClientActor {
 
     fn fresh(params: ClientParams) -> Self {
         let coords = CoordinatorList::new(params.directory.coord_ids(), params.cfg.coord_retry);
-        let log = SenderLog::new(params.cfg.log_strategy, params.cfg.log_gc);
+        let log = SenderLog::new(params.cfg.log_strategy, GcPolicy::unbounded());
         ClientActor {
             params,
             coords,
@@ -255,11 +255,6 @@ impl ClientActor {
         self.params.key
     }
 
-    /// Number of planned calls.
-    pub fn plan_len(&self) -> usize {
-        self.params.plan.len()
-    }
-
     /// Results received so far.
     pub fn results_count(&self) -> usize {
         self.results.len()
@@ -268,25 +263,6 @@ impl ClientActor {
     /// The coordinator currently preferred, if any.
     pub fn current_coordinator(&self) -> Option<CoordId> {
         self.current_coord
-    }
-
-    /// Result seqs currently advertised by the coordinator's catalog but
-    /// not yet held here — the client's outstanding pull set.  Test/oracle
-    /// introspection: a live grid must drain this to empty.
-    pub fn unfetched_catalog_seqs(&self) -> Vec<u64> {
-        self.catalog.keys().filter(|s| !self.results.contains_key(s)).copied().collect()
-    }
-
-    /// The catalog high-water mark acknowledged to the coordinator
-    /// (version in its per-client change index).
-    pub fn catalog_watermark(&self) -> u64 {
-        self.catalog_hw
-    }
-
-    /// Appends extra calls to the plan (used by the API layer's
-    /// `ApiSubmit` injection path and by scripted scenarios).
-    pub fn extend_plan(&mut self, calls: impl IntoIterator<Item = CallSpec>) {
-        self.params.plan.extend(calls);
     }
 
     fn coordinator(&mut self, now: SimTime) -> Option<(CoordId, NodeId)> {

@@ -1,7 +1,7 @@
 //! Protocol configuration knobs.
 
 use rpcv_ckpt::CheckpointPolicy;
-use rpcv_log::{GcPolicy, LogStrategy};
+use rpcv_log::LogStrategy;
 use rpcv_simnet::SimDuration;
 
 /// How servers execute tasks.
@@ -32,12 +32,8 @@ pub struct ProtocolConfig {
     pub coord_retry: SimDuration,
     /// Client logging strategy (Fig. 4).
     pub log_strategy: LogStrategy,
-    /// Client/server log capacity policy.
-    pub log_gc: GcPolicy,
     /// Server execution mode.
     pub exec_mode: ExecMode,
-    /// Concurrent tasks per server (paper: effectively 1).
-    pub server_capacity: u32,
     /// How long a replicated-finished job may lack its archive before the
     /// coordinator schedules a re-execution (at-least-once recovery).
     pub missing_archive_timeout: SimDuration,
@@ -58,9 +54,7 @@ impl Default for ProtocolConfig {
             replication_period: SimDuration::from_secs(5),
             coord_retry: SimDuration::from_secs(60),
             log_strategy: LogStrategy::NonBlockingPessimistic,
-            log_gc: GcPolicy::unbounded(),
             exec_mode: ExecMode::Simulated,
-            server_capacity: 1,
             missing_archive_timeout: SimDuration::from_secs(60),
             checkpoint: CheckpointPolicy::Disabled,
         }

@@ -318,15 +318,10 @@ impl CoordinatorActor {
         freed
     }
 
-    /// The per-job lifecycle span book (harness inspection).
-    pub fn spans(&self) -> &SpanBook {
-        &self.spans
-    }
-
     /// Freezes this coordinator's full telemetry into a deterministic
     /// snapshot: the typed metrics structs exported under `coord.` / `db.`,
-    /// received-message counts under `rx.`, and every job span folded into
-    /// per-edge latency histograms under `span.`.
+    /// received-message counts under `rx.`, and the streaming per-edge
+    /// span series under `span.`.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut reg = Registry::new();
         self.metrics.export_telemetry("coord", &mut reg);
@@ -336,7 +331,7 @@ impl CoordinatorActor {
         for (kind, n) in &self.rx_counts {
             reg.set_counter(&format!("rx.{kind}"), *n);
         }
-        self.spans.fold_into(&mut reg);
+        self.spans.export_telemetry("span", &mut reg);
         reg.snapshot()
     }
 

@@ -18,13 +18,13 @@ use rpcv_obs::{ExportTelemetry, Registry, TelemetrySnapshot};
 use rpcv_simnet::{HostSpec, LinkParams, NodeId, SimDuration, SimTime, World};
 use rpcv_xw::{ClientKey, CoordId, SandboxLimits, ServerId, ServiceRegistry};
 
+use crate::calibration;
 use crate::client::{ClientActor, ClientParams};
 use crate::config::ProtocolConfig;
 use crate::coordinator::{CoordParams, CoordinatorActor};
 use crate::msg::Msg;
 use crate::server::{ServerActor, ServerParams};
 use crate::util::{CallSpec, Directory};
-use crate::{calibration, msg};
 
 /// Everything needed to assemble a grid.
 #[derive(Clone)]
@@ -265,12 +265,6 @@ impl SimGrid {
         self.world.actor::<ClientActor>(self.clients[i].1)
     }
 
-    /// The client actor with identity `key` (when up).
-    pub fn client_of(&self, key: ClientKey) -> Option<&ClientActor> {
-        let (_, node) = *self.clients.iter().find(|&&(k, _)| k == key)?;
-        self.world.actor::<ClientActor>(node)
-    }
-
     /// The first client actor (single-client shorthand, when up).
     pub fn client(&self) -> Option<&ClientActor> {
         self.client_at(0)
@@ -361,10 +355,5 @@ impl SimGrid {
             p.export_telemetry("kernel", &mut reg);
         }
         reg.snapshot()
-    }
-
-    /// Convenience: a no-op message type hint for generic code.
-    pub fn msg_hint() -> std::marker::PhantomData<msg::Msg> {
-        std::marker::PhantomData
     }
 }

@@ -48,6 +48,8 @@ const K_CKPT: u64 = 4;
 /// periodic schedule — re-arming from every nudge would multiply the
 /// heartbeat chains without bound.
 const K_NUDGE: u64 = 5;
+/// Concurrent tasks per server (paper: effectively 1).
+const CAPACITY: usize = 1;
 
 /// Server-side observations.
 #[derive(Debug, Clone, Copy, Default)]
@@ -475,8 +477,7 @@ impl ServerActor {
     fn beat(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
         let shards = self.links.len();
-        let capacity = self.params.cfg.server_capacity as usize;
-        let want = capacity.saturating_sub(self.running.len() + self.backlog.len()) as u32;
+        let want = CAPACITY.saturating_sub(self.running.len() + self.backlog.len()) as u32;
         // Partition held state by owning shard: each shard's coordinator
         // sees exactly the tasks and offers it is responsible for.  On a
         // 1-shard grid the single partition is byte-identical to the old
@@ -548,8 +549,7 @@ impl ServerActor {
     fn request_work(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
         let shards = self.links.len();
-        let capacity = self.params.cfg.server_capacity as usize;
-        let want = capacity.saturating_sub(self.running.len() + self.backlog.len()) as u32;
+        let want = CAPACITY.saturating_sub(self.running.len() + self.backlog.len()) as u32;
         if want == 0 {
             return;
         }
@@ -597,7 +597,7 @@ impl ServerActor {
         if self.running.contains_key(&desc.id) {
             return;
         }
-        if self.running.len() >= self.params.cfg.server_capacity as usize {
+        if self.running.len() >= CAPACITY {
             // Over-assignment race: queue locally and drain after the
             // current execution — the coordinator believes this instance is
             // ongoing here, so dropping it would stall the job until a
@@ -872,8 +872,7 @@ impl Actor<Msg> for ServerActor {
                 // streak cap is 0 retries — exactly the historical "wait
                 // for the next heartbeat".
                 let shards = self.links.len();
-                let spare = self.running.len() + self.backlog.len()
-                    < self.params.cfg.server_capacity as usize;
+                let spare = self.running.len() + self.backlog.len() < CAPACITY;
                 if spare && self.nowork_streak + 1 < shards {
                     self.nowork_streak += 1;
                     self.request_work(ctx);

@@ -13,16 +13,10 @@
 //! * [`CoordinatorList`] — the "finite list of known coordinators" every
 //!   component carries, with local suspicion updates, periodic merging at
 //!   beat reception, and the common-order successor relationship used by
-//!   the passive-replication ring;
-//! * [`AdaptiveMonitor`] — per-component adaptive timeouts (the paper's
-//!   "known techniques ... to limit the wrong positives on the
-//!   Internet"): suspect beyond `mean + k·σ` of the learned heartbeat
-//!   inter-arrival distribution.
+//!   the passive-replication ring.
 
-pub mod adaptive;
 pub mod coordlist;
 pub mod heartbeat;
 
-pub use adaptive::AdaptiveMonitor;
 pub use coordlist::CoordinatorList;
 pub use heartbeat::{BeatSchedule, HeartbeatMonitor};

@@ -70,11 +70,6 @@ impl<T: Clone> SenderLog<T> {
         self.strategy
     }
 
-    /// Changes the strategy (takes effect for subsequent appends).
-    pub fn set_strategy(&mut self, strategy: LogStrategy) {
-        self.strategy = strategy;
-    }
-
     /// Number of retained entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -14,7 +14,9 @@
 //!   `Msg::StatusReply` frames.  Same seed ⇒ byte-identical snapshot.
 //! - [`SpanBook`] — per-job lifecycle spans (submitted → dispatched →
 //!   first-unit → checkpointed×N → finished → archive-stored → collected →
-//!   gc'd) with failover annotations, folded into per-edge histograms.
+//!   gc'd) with failover annotations, each gap recorded into its per-edge
+//!   histogram the moment the edge is stamped; a snapshot merges those
+//!   histograms and never re-walks a job's history.
 //! - [`ExportTelemetry`] — the bridge trait: existing typed metrics structs
 //!   (`CoordMetrics`, `DbStats`, `NetStats`, …) export into a registry under
 //!   a dotted prefix without giving up their field accessors.
@@ -33,4 +35,4 @@ pub mod span;
 pub use hist::{Histogram, BUCKETS};
 pub use registry::{ExportTelemetry, Registry};
 pub use snapshot::TelemetrySnapshot;
-pub use span::{FailoverNote, JobSpan, SpanBook, SpanEdge};
+pub use span::{SpanBook, SpanEdge};

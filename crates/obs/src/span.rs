@@ -1,19 +1,27 @@
-//! Per-job lifecycle spans.
+//! Per-job lifecycle spans, recorded as streaming series.
 //!
 //! A job's life is a timeline of edges — submitted → dispatched → first-unit
 //! → checkpointed×N → finished → archive-stored → collected → gc'd — and the
 //! coordinator stamps each edge with the virtual instant it was observed.
 //! Failovers and re-executions annotate the span rather than restarting it,
 //! which is what makes the detect→recover gap *measurable* instead of
-//! inferred from makespans.  [`SpanBook::fold_into`] turns the raw timelines
-//! into per-edge latency histograms for a [`crate::TelemetrySnapshot`].
+//! inferred from makespans.
+//!
+//! The `span.*` series are the only record: each gap is folded into its
+//! histogram the moment its later edge (or annotation) is stamped, so a
+//! [`crate::TelemetrySnapshot`] merges a handful of histograms instead of
+//! re-walking every job's history.  Per job the book keeps only what the
+//! next stamp needs: which edges were stamped, the latest mark, the
+//! submit/collect instants and the suspicion instants of unresolved
+//! failovers.
 
 use std::collections::BTreeMap;
 
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_xw::JobKey;
 
-use crate::registry::Registry;
+use crate::hist::Histogram;
+use crate::registry::{ExportTelemetry, Registry};
 
 /// A lifecycle edge in a job's span timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -50,57 +58,41 @@ impl SpanEdge {
             SpanEdge::Gc => "gc",
         }
     }
-}
 
-/// A failover annotation on a job's span: the coordinator suspected the
-/// executing server and re-queued the job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverNote {
-    /// Virtual instant the suspicion fired (scan tick).
-    pub suspected_at: SimTime,
-    /// Silence observed at suspicion time: `suspected_at − last heartbeat`.
-    /// Bounded below by the suspicion timeout and above by timeout + one
-    /// scan period (the coordinator only looks once per heartbeat).
-    pub detect_gap: SimDuration,
-    /// Virtual instant the replacement instance was handed to a server,
-    /// `None` while the job is still waiting in the pending queue.
-    pub recovered_at: Option<SimTime>,
-}
-
-impl FailoverNote {
-    /// Suspicion → re-dispatch gap, if recovery has happened.
-    pub fn recovery_gap(&self) -> Option<SimDuration> {
-        self.recovered_at.map(|at| at.since(self.suspected_at))
+    const fn bit(self) -> u8 {
+        1 << self as u8
     }
 }
 
-/// One job's span: the edge timeline plus failover annotations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JobSpan {
-    /// Edge marks in observation order (virtual time is non-decreasing).
-    pub marks: Vec<(SpanEdge, SimTime)>,
-    /// Failover annotations, in suspicion order.
-    pub failovers: Vec<FailoverNote>,
-    /// Replacement task instances created for this job.
-    pub reexecutions: u64,
-}
-
-impl JobSpan {
-    /// First mark of `edge`, if stamped.
-    pub fn at(&self, edge: SpanEdge) -> Option<SimTime> {
-        self.marks.iter().find(|(e, _)| *e == edge).map(|&(_, t)| t)
-    }
-
-    /// Number of [`SpanEdge::Checkpointed`] marks.
-    pub fn checkpoints(&self) -> u64 {
-        self.marks.iter().filter(|(e, _)| *e == SpanEdge::Checkpointed).count() as u64
-    }
+/// One job's streaming state: just enough to record the next gap.
+#[derive(Debug, Clone, Copy, Default)]
+struct JobState {
+    /// [`SpanEdge::bit`]s of the edges stamped so far.
+    stamped: u8,
+    /// Latest mark: the left end of the next edge-pair gap.
+    last: Option<(SpanEdge, SimTime)>,
+    submitted: Option<SimTime>,
+    collected: Option<SimTime>,
+    /// Failovers noted / resolved; the unresolved ones, in between, are
+    /// keyed by ordinal in [`SpanBook::unresolved`].
+    failovers: u32,
+    recovered: u32,
 }
 
 /// The coordinator's book of job spans, keyed by the paper's RPC identity.
 #[derive(Debug, Clone, Default)]
 pub struct SpanBook {
-    spans: BTreeMap<JobKey, JobSpan>,
+    jobs: BTreeMap<JobKey, JobState>,
+    /// Suspicion instants of failovers awaiting a replacement dispatch,
+    /// keyed by `(job, failover ordinal)`.
+    unresolved: BTreeMap<(JobKey, u32), SimTime>,
+    /// Consecutive-mark gaps, named `span.{a}_to_{b}` at export.
+    edge_gaps: BTreeMap<(SpanEdge, SpanEdge), Histogram>,
+    submit_to_collect: Histogram,
+    detect_gaps: Histogram,
+    recovery_gaps: Histogram,
+    failovers: u64,
+    checkpoints: u64,
 }
 
 impl SpanBook {
@@ -109,87 +101,80 @@ impl SpanBook {
         Self::default()
     }
 
-    /// Stamps `edge` on `key`'s span at `now`.  Every edge except
-    /// [`SpanEdge::Checkpointed`] is stamped at most once (re-executions do
-    /// not restart the timeline — they annotate it via
+    /// Stamps `edge` on `key`'s span at `now`, recording the gap from the
+    /// previous mark (and submit→collect once both ends are known).  Every
+    /// edge except [`SpanEdge::Checkpointed`] is stamped at most once
+    /// (re-executions do not restart the timeline — they annotate it via
     /// [`SpanBook::note_failover`]).
     pub fn mark(&mut self, key: JobKey, edge: SpanEdge, now: SimTime) {
-        let span = self.spans.entry(key).or_default();
-        if edge != SpanEdge::Checkpointed && span.at(edge).is_some() {
+        let job = self.jobs.entry(key).or_default();
+        if edge == SpanEdge::Checkpointed {
+            self.checkpoints += 1;
+        } else if job.stamped & edge.bit() != 0 {
             return;
         }
-        span.marks.push((edge, now));
+        job.stamped |= edge.bit();
+        if let Some((prev, at)) = job.last {
+            self.edge_gaps.entry((prev, edge)).or_default().record_gap(now.since(at));
+        }
+        job.last = Some((edge, now));
+        match edge {
+            SpanEdge::Submitted => job.submitted = Some(now),
+            SpanEdge::Collected => job.collected = Some(now),
+            _ => return,
+        }
+        if let (Some(sub), Some(col)) = (job.submitted, job.collected) {
+            self.submit_to_collect.record_gap(col.since(sub));
+        }
     }
 
     /// Annotates `key`'s span with a failover: the executing server was
     /// suspected at `suspected_at` after `detect_gap` of silence, and a
     /// replacement instance was queued.
     pub fn note_failover(&mut self, key: JobKey, suspected_at: SimTime, detect_gap: SimDuration) {
-        let span = self.spans.entry(key).or_default();
-        span.failovers.push(FailoverNote { suspected_at, detect_gap, recovered_at: None });
-        span.reexecutions += 1;
+        let job = self.jobs.entry(key).or_default();
+        self.unresolved.insert((key, job.failovers), suspected_at);
+        job.failovers += 1;
+        self.failovers += 1;
+        self.detect_gaps.record_gap(detect_gap);
     }
 
-    /// Stamps the earliest unresolved failover of `key` as recovered at
-    /// `now` (the replacement instance was handed to a server).
+    /// Resolves the earliest unresolved failover of `key` at `now` (the
+    /// replacement instance was handed to a server), recording the
+    /// suspicion → re-dispatch gap.
     pub fn note_recovered(&mut self, key: JobKey, now: SimTime) {
-        if let Some(span) = self.spans.get_mut(&key) {
-            if let Some(f) = span.failovers.iter_mut().find(|f| f.recovered_at.is_none()) {
-                f.recovered_at = Some(now);
-            }
+        let Some(job) = self.jobs.get_mut(&key) else { return };
+        if let Some(suspected_at) = self.unresolved.remove(&(key, job.recovered)) {
+            job.recovered += 1;
+            self.recovery_gaps.record_gap(now.since(suspected_at));
         }
     }
+}
 
-    /// The span of `key`, if any edge or annotation was recorded.
-    pub fn span(&self, key: &JobKey) -> Option<&JobSpan> {
-        self.spans.get(key)
-    }
-
-    /// Number of jobs with a span.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when no span was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Iterates spans in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&JobKey, &JobSpan)> {
-        self.spans.iter()
-    }
-
-    /// Folds every span into per-edge histograms and counters on `reg`.
-    ///
-    /// For each consecutive pair of marks `(a, b)` the gap `b − a` is
-    /// recorded into `span.{a}_to_{b}`; the end-to-end submit→collect
-    /// latency lands in `span.submit_to_collect`, failover annotations in
-    /// `span.failover_detect_gap` / `span.failover_recovery_gap`, and the
-    /// totals in `span.jobs` / `span.failovers` / `span.reexecutions` /
-    /// `span.checkpoints` counters.
-    pub fn fold_into(&self, reg: &mut Registry) {
-        reg.add_counter("span.jobs", self.spans.len() as u64);
-        for span in self.spans.values() {
-            for pair in span.marks.windows(2) {
-                let (a, ta) = pair[0];
-                let (b, tb) = pair[1];
-                let name = format!("span.{}_to_{}", a.name(), b.name());
-                reg.hist_mut(&name).record_gap(tb.since(ta));
-            }
-            if let (Some(sub), Some(col)) =
-                (span.at(SpanEdge::Submitted), span.at(SpanEdge::Collected))
-            {
-                reg.hist_mut("span.submit_to_collect").record_gap(col.since(sub));
-            }
-            reg.add_counter("span.failovers", span.failovers.len() as u64);
-            reg.add_counter("span.reexecutions", span.reexecutions);
-            reg.add_counter("span.checkpoints", span.checkpoints());
-            for f in &span.failovers {
-                reg.hist_mut("span.failover_detect_gap").record_gap(f.detect_gap);
-                if let Some(gap) = f.recovery_gap() {
-                    reg.hist_mut("span.failover_recovery_gap").record_gap(gap);
-                }
+impl ExportTelemetry for SpanBook {
+    /// Registers `{prefix}.jobs`; once any span exists, the
+    /// `failovers` / `reexecutions` / `checkpoints` totals; and every
+    /// non-empty gap histogram: `{prefix}.{a}_to_{b}`,
+    /// `submit_to_collect`, `failover_detect_gap`, `failover_recovery_gap`.
+    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
+        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
+        c("jobs", self.jobs.len() as u64);
+        if !self.jobs.is_empty() {
+            c("failovers", self.failovers);
+            // Every failover queues exactly one replacement instance.
+            c("reexecutions", self.failovers);
+            c("checkpoints", self.checkpoints);
+        }
+        for ((a, b), h) in &self.edge_gaps {
+            reg.merge_hist(&format!("{prefix}.{}_to_{}", a.name(), b.name()), h);
+        }
+        for (field, h) in [
+            ("submit_to_collect", &self.submit_to_collect),
+            ("failover_detect_gap", &self.detect_gaps),
+            ("failover_recovery_gap", &self.recovery_gaps),
+        ] {
+            if !h.is_empty() {
+                reg.merge_hist(&format!("{prefix}.{field}"), h);
             }
         }
     }
@@ -198,10 +183,29 @@ impl SpanBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TelemetrySnapshot;
     use rpcv_xw::ClientKey;
 
     fn key(seq: u64) -> JobKey {
         JobKey::new(ClientKey::default(), seq)
+    }
+
+    fn snapshot(book: &SpanBook) -> TelemetrySnapshot {
+        let mut reg = Registry::new();
+        book.export_telemetry("span", &mut reg);
+        reg.snapshot()
+    }
+
+    /// `(count, sum)` of histogram `name`, `(0, 0)` when absent.
+    fn hist(snap: &TelemetrySnapshot, name: &str) -> (u64, SimDuration) {
+        snap.hist(name).map_or((0, SimDuration::ZERO), |h| (h.count(), SimDuration(h.sum_nanos())))
+    }
+
+    #[test]
+    fn empty_book_exports_only_the_job_count() {
+        let snap = snapshot(&SpanBook::new());
+        assert_eq!(snap.counters, vec![("span.jobs".to_owned(), 0)]);
+        assert!(snap.hists.is_empty());
     }
 
     #[test]
@@ -211,11 +215,18 @@ mod tests {
         book.mark(k, SpanEdge::Submitted, SimTime::from_millis(1));
         book.mark(k, SpanEdge::Submitted, SimTime::from_millis(9));
         book.mark(k, SpanEdge::Checkpointed, SimTime::from_millis(2));
-        book.mark(k, SpanEdge::Checkpointed, SimTime::from_millis(3));
-        let span = book.span(&k).unwrap();
-        assert_eq!(span.at(SpanEdge::Submitted), Some(SimTime::from_millis(1)));
-        assert_eq!(span.checkpoints(), 2);
-        assert_eq!(span.marks.len(), 3);
+        book.mark(k, SpanEdge::Checkpointed, SimTime::from_millis(5));
+        let snap = snapshot(&book);
+        assert_eq!(snap.counter("span.jobs"), 1);
+        assert_eq!(snap.counter("span.checkpoints"), 2);
+        assert_eq!(snap.counter("span.failovers"), 0);
+        // Three marks ⇒ two gaps; the repeated Submitted left no trace.
+        assert_eq!(hist(&snap, "span.submitted_to_checkpointed"), (1, SimDuration::from_millis(1)));
+        assert_eq!(
+            hist(&snap, "span.checkpointed_to_checkpointed"),
+            (1, SimDuration::from_millis(3))
+        );
+        assert_eq!(snap.hists.len(), 2);
     }
 
     #[test]
@@ -225,28 +236,48 @@ mod tests {
         book.note_failover(k, SimTime::from_secs(10), SimDuration::from_secs(5));
         book.note_failover(k, SimTime::from_secs(40), SimDuration::from_secs(6));
         book.note_recovered(k, SimTime::from_secs(12));
-        let span = book.span(&k).unwrap();
-        assert_eq!(span.failovers[0].recovered_at, Some(SimTime::from_secs(12)));
-        assert_eq!(span.failovers[0].recovery_gap(), Some(SimDuration::from_secs(2)));
-        assert_eq!(span.failovers[1].recovered_at, None);
-        assert_eq!(span.reexecutions, 2);
+        book.note_recovered(key(8), SimTime::from_secs(12));
+        let snap = snapshot(&book);
+        assert_eq!(snap.counter("span.jobs"), 1, "recovering an unknown job opens no span");
+        assert_eq!(snap.counter("span.failovers"), 2);
+        assert_eq!(snap.counter("span.reexecutions"), 2);
+        assert_eq!(hist(&snap, "span.failover_detect_gap"), (2, SimDuration::from_secs(11)));
+        assert_eq!(hist(&snap, "span.failover_recovery_gap"), (1, SimDuration::from_secs(2)));
+
+        // The second failover resolves against its own suspicion instant;
+        // a third recovery has nothing left to resolve.
+        book.note_recovered(k, SimTime::from_secs(45));
+        book.note_recovered(k, SimTime::from_secs(50));
+        let snap = snapshot(&book);
+        assert_eq!(hist(&snap, "span.failover_recovery_gap"), (2, SimDuration::from_secs(7)));
     }
 
     #[test]
-    fn fold_produces_edge_histograms() {
+    fn marks_produce_edge_histograms() {
         let mut book = SpanBook::new();
         let k = key(3);
         book.mark(k, SpanEdge::Submitted, SimTime::from_millis(0));
         book.mark(k, SpanEdge::Dispatched, SimTime::from_millis(10));
         book.mark(k, SpanEdge::Finished, SimTime::from_millis(250));
         book.mark(k, SpanEdge::Collected, SimTime::from_millis(400));
-        let mut reg = Registry::new();
-        book.fold_into(&mut reg);
-        let snap = reg.snapshot();
+        let snap = snapshot(&book);
         assert_eq!(snap.counter("span.jobs"), 1);
-        let h = snap.hist("span.submit_to_collect").unwrap();
-        assert_eq!(h.count(), 1);
-        assert!(snap.hist("span.submitted_to_dispatched").is_some());
-        assert!(snap.hist("span.dispatched_to_finished").is_some());
+        assert_eq!(hist(&snap, "span.submit_to_collect"), (1, SimDuration::from_millis(400)));
+        assert_eq!(hist(&snap, "span.submitted_to_dispatched"), (1, SimDuration::from_millis(10)));
+        assert_eq!(hist(&snap, "span.dispatched_to_finished"), (1, SimDuration::from_millis(240)));
+        assert_eq!(hist(&snap, "span.finished_to_collected"), (1, SimDuration::from_millis(150)));
+    }
+
+    #[test]
+    fn submit_to_collect_records_on_whichever_end_comes_second() {
+        let mut book = SpanBook::new();
+        let k = key(4);
+        book.mark(k, SpanEdge::Collected, SimTime::from_millis(30));
+        assert!(snapshot(&book).hist("span.submit_to_collect").is_none());
+        book.mark(k, SpanEdge::Submitted, SimTime::from_millis(50));
+        // A collect stamped before the submit saturates to a zero gap.
+        assert_eq!(hist(&snapshot(&book), "span.submit_to_collect"), (1, SimDuration::ZERO));
+        book.mark(k, SpanEdge::Collected, SimTime::from_millis(90));
+        assert_eq!(snapshot(&book).hist("span.submit_to_collect").unwrap().count(), 1);
     }
 }

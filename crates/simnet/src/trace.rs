@@ -153,11 +153,6 @@ impl Trace {
         self.record = on;
     }
 
-    /// Whether events are being stored.
-    pub fn is_recording(&self) -> bool {
-        self.record
-    }
-
     /// Adds an event (always folded into the hash; stored only if
     /// recording).
     pub fn push(&mut self, at: SimTime, node: NodeId, kind: TraceKind, detail: impl AsRef<str>) {

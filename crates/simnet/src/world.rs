@@ -175,11 +175,6 @@ impl<M: WireSized + 'static> World<M> {
         &self.trace
     }
 
-    /// Enables/disables full trace recording.
-    pub fn set_trace_recording(&mut self, on: bool) {
-        self.trace.set_recording(on);
-    }
-
     /// Message statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats

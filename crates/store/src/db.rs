@@ -813,12 +813,28 @@ impl CoordinatorDb {
 
     // --- fault handling -----------------------------------------------------
 
-    /// True when `job` already has a dispatchable queued instance.  The
-    /// recovery paths (server suspicion, beat reconciliation, predecessor
-    /// release) can all conclude the same job needs a new instance in the
-    /// same failover window; one queued instance is recovery enough.
-    fn has_live_pending(&self, job: &JobKey) -> bool {
-        !self.finished_jobs.contains(job) && self.pending_by_job.get(job).copied().unwrap_or(0) > 0
+    /// The reclaim tail of every recovery path (server suspicion, beat
+    /// reconciliation, predecessor release): a new instance for each
+    /// victim job, in the caller's order, unless the job already has a
+    /// dispatchable queued instance — the paths can all conclude the same
+    /// job needs one in the same failover window, and one queued instance
+    /// is recovery enough.  Charges one op for the lookup plus two per
+    /// instance created.
+    fn reclaim(&mut self, victims: impl IntoIterator<Item = JobKey>) -> (Vec<TaskId>, Charge) {
+        let mut created = Vec::new();
+        let mut charge = Charge::ops(1);
+        for job in victims {
+            let live_pending = !self.finished_jobs.contains(&job)
+                && self.pending_by_job.get(&job).copied().unwrap_or(0) > 0;
+            if live_pending {
+                continue;
+            }
+            if let Some(id) = self.create_instance(job) {
+                created.push(id);
+                charge += Charge::ops(2);
+            }
+        }
+        (created, charge)
     }
 
     /// Server suspected: schedule new instances of all its ongoing tasks
@@ -839,18 +855,7 @@ impl CoordinatorDb {
             })
             .unwrap_or_default();
         self.by_server.remove(&server);
-        let mut created = Vec::new();
-        let mut charge = Charge::ops(1);
-        for job in victims {
-            if self.has_live_pending(&job) {
-                continue;
-            }
-            if let Some(id) = self.create_instance(job) {
-                created.push(id);
-                charge += Charge::ops(2);
-            }
-        }
-        (created, charge)
+        self.reclaim(victims)
     }
 
     /// Re-stamps an ongoing task's dispatch instant (the `Assign` message
@@ -898,21 +903,12 @@ impl CoordinatorDb {
                     .collect()
             })
             .unwrap_or_default();
-        let mut created = Vec::new();
-        let mut charge = Charge::ops(1);
-        for (old, job) in lost {
-            if let Some(set) = self.by_server.get_mut(&server) {
-                set.remove(&old);
-            }
-            if self.has_live_pending(&job) {
-                continue;
-            }
-            if let Some(id) = self.create_instance(job) {
-                created.push(id);
-                charge += Charge::ops(2);
+        if let Some(set) = self.by_server.get_mut(&server) {
+            for (old, _) in &lost {
+                set.remove(old);
             }
         }
-        (created, charge)
+        self.reclaim(lost.into_iter().map(|(_, job)| job))
     }
 
     /// Predecessor coordinator suspected: replicated *ongoing* tasks of
@@ -933,18 +929,7 @@ impl CoordinatorDb {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let mut created = Vec::new();
-        let mut charge = Charge::ops(1);
-        for job in held {
-            if self.has_live_pending(&job) {
-                continue;
-            }
-            if let Some(id) = self.create_instance(job) {
-                created.push(id);
-                charge += Charge::ops(2);
-            }
-        }
-        (created, charge)
+        self.reclaim(held)
     }
 
     // --- client result collection --------------------------------------------
@@ -964,16 +949,6 @@ impl CoordinatorDb {
             .filter(|(_, row)| !row.collected)
             .map(|(job, row)| (job.seq, row.size))
             .collect()
-    }
-
-    /// Every retained result for `client`, collected or not — the catalog
-    /// advertised in sync replies.  A restarted client that lost its disk
-    /// re-fetches collected-but-retained results from here ("Any instance
-    /// of the client program may connect the Coordinator ... and retrieve
-    /// results and RPC status using the unique IDs", §4.2); only archives
-    /// already garbage-collected are truly gone.
-    pub fn results_catalog(&self, client: ClientKey) -> Vec<(u64, u64)> {
-        self.results_catalog_scan(client)
     }
 
     /// Scan-based reference definition of the full result catalog, kept for

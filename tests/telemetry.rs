@@ -8,6 +8,7 @@
 //! and, conversely, turning the kernel profiler on must not perturb a
 //! single modelled series (observation is free).
 
+use rpcv::core::chaos::ChaosOracle;
 use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::util::CallSpec;
 use rpcv::obs::TelemetrySnapshot;
@@ -87,4 +88,28 @@ fn profiling_adds_kernel_series_without_touching_the_model() {
         hists: s.hists.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
     };
     assert_eq!(strip(&on), strip(&off), "the profiler must not perturb modelled series");
+}
+
+/// CRC-64 of a snapshot's JSON rendering: a compact pin for the whole
+/// series set (keys, bucket counts and sums alike).
+fn digest(snap: &TelemetrySnapshot) -> u64 {
+    rpcv::wire::crc64(snap.to_json().as_bytes())
+}
+
+/// Golden telemetry: a fault-free run and a chaos run (whose failovers
+/// populate the `span.failover_*` series) serialize to pinned bytes, so
+/// any change to how spans are recorded or exported must leave every
+/// series exactly as it was.
+#[test]
+fn telemetry_json_matches_pinned_digests() {
+    let clean = run(7, false);
+    assert_eq!(digest(&clean), 0x21b1_f821_156f_814f, "fault-free telemetry drifted");
+
+    let chaos = ChaosOracle::seeded(42, 0.7).run();
+    assert!(
+        chaos.telemetry.hist("span.failover_recovery_gap").is_some_and(|h| h.count() > 0),
+        "the chaos cell must exercise failover recovery"
+    );
+    assert_eq!(chaos.telemetry.hist("span.failover_recovery_gap"), Some(&chaos.recovery_gaps));
+    assert_eq!(digest(&chaos.telemetry), 0xf5b9_d179_1a64_15f0, "chaos telemetry drifted");
 }
