@@ -170,13 +170,13 @@ fn run_cell(servers: usize, jobs: usize, clients: usize, shards: usize) -> Cell 
         // merge across the shard's members), rendered as stable JSON.
         let members = grid.coords.len() / shards.max(1);
         for s in 0..shards {
-            let mut reg = rpcv_obs::Registry::new();
+            let mut snap = rpcv_obs::TelemetrySnapshot::default();
             for i in s * members..(s + 1) * members {
                 if let Some(c) = grid.coordinator(i) {
-                    reg.absorb(&c.telemetry_snapshot());
+                    snap.merge(&c.telemetry_snapshot());
                 }
             }
-            eprintln!("# telemetry shard {s}: {}", reg.snapshot().to_json());
+            eprintln!("# telemetry shard {s}: {}", snap.to_json());
         }
     }
     // Replication and catalog traffic are snapshotted *here*, before the

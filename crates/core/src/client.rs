@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use rpcv_detect::CoordinatorList;
 use rpcv_log::{GcPolicy, SenderLog};
-use rpcv_obs::{ExportTelemetry, Histogram, Registry, TelemetrySnapshot};
+use rpcv_obs::{Histogram, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec};
@@ -25,7 +25,7 @@ use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec};
 use crate::calibration::MARSHAL_BW;
 use crate::config::ProtocolConfig;
 use crate::msg::Msg;
-use crate::util::{CallSpec, Deferred, Directory};
+use crate::util::{retry_horizon, CallSpec, Deferred, Directory};
 
 const K_BEAT: u64 = 1;
 const K_SEND: u64 = 2;
@@ -42,22 +42,24 @@ pub struct SubmitTiming {
     pub interaction_end: Option<SimTime>,
 }
 
-/// Client-side observations read by experiment harnesses.
-#[derive(Debug, Clone, Default)]
-pub struct ClientMetrics {
-    /// Per-seq submission timings.
-    pub submissions: BTreeMap<u64, SubmitTiming>,
-    /// Result arrival times per seq.
-    pub results_received: BTreeMap<u64, SimTime>,
-    /// When every planned call had its result.
-    pub done_at: Option<SimTime>,
-    /// Coordinator switches performed.
-    pub coordinator_switches: u64,
-    /// Synchronizations that had to resend log entries.
-    pub log_replays: u64,
-    /// Frames that arrived unreadable (wire corruption) and were dropped
-    /// without touching protocol state.
-    pub bad_frames: u64,
+rpcv_simnet::counters! {
+    /// Client-side observations read by experiment harnesses.
+    #[derive(Debug, Clone, Default)]
+    pub struct ClientMetrics {
+        /// Coordinator switches performed.
+        coordinator_switches,
+        /// Synchronizations that had to resend log entries.
+        log_replays,
+        /// Frames that arrived unreadable (wire corruption) and were
+        /// dropped without touching protocol state.
+        bad_frames;
+        /// Per-seq submission timings.
+        submissions: BTreeMap<u64, SubmitTiming>,
+        /// Result arrival times per seq.
+        results_received: BTreeMap<u64, SimTime>,
+        /// When every planned call had its result.
+        done_at: Option<SimTime>,
+    }
 }
 
 impl ClientMetrics {
@@ -85,18 +87,16 @@ impl ClientMetrics {
         }
         h
     }
-}
 
-impl ExportTelemetry for ClientMetrics {
-    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
-        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
-        c("submissions", self.submissions.len() as u64);
-        c("results_received", self.results_received.len() as u64);
-        c("coordinator_switches", self.coordinator_switches);
-        c("log_replays", self.log_replays);
-        c("bad_frames", self.bad_frames);
-        reg.merge_hist(&format!("{prefix}.job_latency"), &self.job_latency());
-        reg.merge_hist(&format!("{prefix}.interaction_latency"), &self.interaction_latency());
+    /// Exports the counters under `{prefix}.`, plus the `submissions` and
+    /// `results_received` totals and the `job_latency` and
+    /// `interaction_latency` histograms.
+    pub fn export(&self, prefix: &str, snap: &mut TelemetrySnapshot) {
+        snap.add_counters(prefix, self.counters());
+        snap.add_counter(&format!("{prefix}.submissions"), self.submissions.len() as u64);
+        snap.add_counter(&format!("{prefix}.results_received"), self.results_received.len() as u64);
+        snap.merge_hist(&format!("{prefix}.job_latency"), &self.job_latency());
+        snap.merge_hist(&format!("{prefix}.interaction_latency"), &self.interaction_latency());
     }
 }
 
@@ -160,15 +160,12 @@ pub struct ClientActor {
     acked_max: u64,
     /// When `acked_max` last advanced (registration progress watermark).
     progress_at: SimTime,
-    /// Merged result catalog: seq → size.  Built incrementally from
-    /// per-beat catalog deltas (never re-shipped in full).
-    catalog: BTreeMap<u64, u64>,
-    /// Catalogued seqs whose payloads are not held yet — the pull
-    /// frontier.  Maintained alongside the catalog so each pull round
-    /// walks only what is actually outstanding, never the whole catalog
-    /// (which holds every collected-but-unreclaimed result and grows with
-    /// the backlog between coordinator GC rounds).
-    unfetched: std::collections::BTreeSet<u64>,
+    /// The pull frontier: catalogued results not held yet, seq → size.
+    /// Merged incrementally from per-beat catalog deltas (never
+    /// re-shipped in full), and only for seqs not already held, so each
+    /// pull round walks just what is outstanding — never the
+    /// collected-but-unreclaimed results the coordinator still lists.
+    unfetched: BTreeMap<u64, u64>,
     /// The shard group this client restricted itself to after a pushed
     /// [`Msg::ShardMap`] (`None` until one arrives — the bootstrap list is
     /// flat).  Kept to make repeated pushes of the same map idempotent:
@@ -235,8 +232,7 @@ impl ClientActor {
             coord_epoch: None,
             acked_max: 0,
             progress_at: SimTime::ZERO,
-            catalog: BTreeMap::new(),
-            unfetched: std::collections::BTreeSet::new(),
+            unfetched: BTreeMap::new(),
             shard_members: None,
             catalog_hw: 0,
             last_pull: None,
@@ -445,7 +441,7 @@ impl ClientActor {
             self.coord_epoch = current;
             self.acked_max = 0;
             // Catalog versions are meaningless across incarnations: start
-            // from scratch (the merged catalog itself stays — seqs are
+            // from scratch (the pull frontier itself stays — seqs are
             // incarnation-independent identities).
             self.catalog_hw = 0;
             self.progress_at = now;
@@ -513,13 +509,11 @@ impl ClientActor {
         // removals could undo a newer addition.
         if !rebased && catalog_base <= self.catalog_hw && catalog_head >= self.catalog_hw {
             for &(seq, size) in &available {
-                self.catalog.insert(seq, size);
                 if !self.results.contains_key(&seq) {
-                    self.unfetched.insert(seq);
+                    self.unfetched.insert(seq, size);
                 }
             }
             for &seq in &removed {
-                self.catalog.remove(&seq);
                 self.unfetched.remove(&seq);
                 self.requested.remove(&seq);
             }
@@ -638,30 +632,20 @@ impl ClientActor {
                 }
             }
         }
-        let base = self.params.cfg.heartbeat * 2;
         let bw = ctx.spec().nic_bw_in.max(1.0);
         let mut budget: i64 = 32 * 1024 * 1024;
         let mut want: Vec<u64> = Vec::new();
-        // The frontier index keeps this O(outstanding + in-backoff), not
-        // O(catalog): held results never re-enter it, so the walk skips
-        // the (much larger) collected-but-unreclaimed span entirely.
-        for &seq in &self.unfetched {
+        // The frontier keeps this O(outstanding + in-backoff): held
+        // results never enter it, so the walk skips the (much larger)
+        // collected-but-unreclaimed span entirely.
+        for (&seq, &size) in &self.unfetched {
             if want.len() >= 64 || budget < 0 {
                 break;
             }
             debug_assert!(!self.results.contains_key(&seq), "held result left on pull frontier");
-            let size = self.catalog.get(&seq).copied().unwrap_or(0);
-            let allowed = match self.requested.get(&seq) {
-                None => true,
-                Some(&(at, attempts)) => {
-                    // Cap the backoff: an unreachable coordinator must not
-                    // push the retry horizon into hours (it may restart any
-                    // moment — volatility is the norm here).
-                    let transfer = rpcv_simnet::SimDuration::from_secs_f64(size as f64 / bw);
-                    let horizon = base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4;
-                    now.since(at) > horizon
-                }
-            };
+            let allowed = self.requested.get(&seq).is_none_or(|&(at, attempts)| {
+                now.since(at) > retry_horizon(self.params.cfg.heartbeat, attempts, size, bw)
+            });
             if allowed {
                 budget -= size as i64;
                 want.push(seq);

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
-use rpcv_obs::{ExportTelemetry, Registry, SpanBook, SpanEdge, TelemetrySnapshot};
+use rpcv_obs::{SpanBook, SpanEdge, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId, WireSized};
 use rpcv_store::{Charge, CoordinatorDb, ReplicationDelta, Snapshot};
 use rpcv_wire::WireEncode;
@@ -44,74 +44,67 @@ pub struct ReplRound {
     pub bytes: u64,
 }
 
-/// Coordinator-side observations.
-#[derive(Debug, Clone, Default)]
-pub struct CoordMetrics {
-    /// Replication rounds in start order.
-    pub repl_rounds: Vec<ReplRound>,
-    /// Completed-task count over time: `(time, total-finished)` staircase,
-    /// the series Figs. 9–11 plot.
-    pub completion_timeline: Vec<(SimTime, u64)>,
-    /// Client sync replies sent (one per handled beat).
-    pub sync_replies: u64,
-    /// Total wire bytes of the catalog delta portions (available +
-    /// removed) across all sync replies — divide by `sync_replies` for the
-    /// per-beat catalog cost the scale bench watches.
-    pub catalog_bytes: u64,
-    /// Server suspicions raised.
-    pub server_suspicions: u64,
-    /// Coordinator (predecessor) suspicions raised.
-    pub coordinator_suspicions: u64,
-    /// Jobs re-executed because their archive was unrecoverable.
-    pub reexecutions: u64,
-    /// Collection acknowledgements learned through replication deltas —
-    /// jobs this coordinator, once promoted, will neither re-execute nor
-    /// re-acquire because the old primary's client already collected them.
-    pub collected_marks_applied: u64,
-    /// Checkpoint uploads recorded (the mark advanced and is durable).
-    pub ckpt_records: u64,
-    /// Checkpoint uploads rejected for a digest/range failure — counted,
-    /// never silently dropped.
-    pub ckpt_rejected: u64,
-    /// Assignments dispatched with a resume point attached.
-    pub resumes_dispatched: u64,
-    /// Frames that arrived unreadable (wire corruption) and were dropped
-    /// without touching protocol state.
-    pub bad_frames: u64,
-    /// Snapshot transfers sent (successor's base fell below the retention
-    /// floor, or it explicitly requested a reseed).
-    pub snapshots_sent: u64,
-    /// Snapshots reassembled, verified and applied here.
-    pub snapshots_applied: u64,
-    /// Client messages answered with the shard map because this
-    /// coordinator's shard does not own the sender's job space.
-    pub shard_redirects: u64,
-    /// Live-introspection requests answered with a sealed snapshot.
-    pub status_replies: u64,
+rpcv_simnet::counters! {
+    /// Coordinator-side observations.
+    #[derive(Debug, Clone, Default)]
+    pub struct CoordMetrics {
+        /// Client sync replies sent (one per handled beat).
+        sync_replies,
+        /// Total wire bytes of the catalog delta portions (available +
+        /// removed) across all sync replies — divide by `sync_replies` for
+        /// the per-beat catalog cost the scale bench watches.
+        catalog_bytes,
+        /// Server suspicions raised.
+        server_suspicions,
+        /// Coordinator (predecessor) suspicions raised.
+        coordinator_suspicions,
+        /// Jobs re-executed because their archive was unrecoverable.
+        reexecutions,
+        /// Collection acknowledgements learned through replication deltas
+        /// — jobs this coordinator, once promoted, will neither re-execute
+        /// nor re-acquire because the old primary's client already
+        /// collected them.
+        collected_marks_applied,
+        /// Checkpoint uploads recorded (the mark advanced and is durable).
+        ckpt_records,
+        /// Checkpoint uploads rejected for a digest/range failure —
+        /// counted, never silently dropped.
+        ckpt_rejected,
+        /// Assignments dispatched with a resume point attached.
+        resumes_dispatched,
+        /// Frames that arrived unreadable (wire corruption) and were
+        /// dropped without touching protocol state.
+        bad_frames,
+        /// Snapshot transfers sent (successor's base fell below the
+        /// retention floor, or it explicitly requested a reseed).
+        snapshots_sent,
+        /// Snapshots reassembled, verified and applied here.
+        snapshots_applied,
+        /// Client messages answered with the shard map because this
+        /// coordinator's shard does not own the sender's job space.
+        shard_redirects,
+        /// Live-introspection requests answered with a sealed snapshot.
+        status_replies;
+        /// Replication rounds in start order.
+        repl_rounds: Vec<ReplRound>,
+        /// Completed-task count over time: `(time, total-finished)`
+        /// staircase, the series Figs. 9–11 plot.
+        completion_timeline: Vec<(SimTime, u64)>,
+    }
 }
 
-impl ExportTelemetry for CoordMetrics {
-    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
-        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
-        c("sync_replies", self.sync_replies);
-        c("catalog_bytes", self.catalog_bytes);
-        c("server_suspicions", self.server_suspicions);
-        c("coordinator_suspicions", self.coordinator_suspicions);
-        c("reexecutions", self.reexecutions);
-        c("collected_marks_applied", self.collected_marks_applied);
-        c("ckpt_records", self.ckpt_records);
-        c("ckpt_rejected", self.ckpt_rejected);
-        c("resumes_dispatched", self.resumes_dispatched);
-        c("bad_frames", self.bad_frames);
-        c("snapshots_sent", self.snapshots_sent);
-        c("snapshots_applied", self.snapshots_applied);
-        c("shard_redirects", self.shard_redirects);
-        c("status_replies", self.status_replies);
-        c("repl_rounds", self.repl_rounds.len() as u64);
-        c("repl_bytes", self.repl_rounds.iter().map(|r| r.bytes).sum());
-        c("repl_records", self.repl_rounds.iter().map(|r| r.records).sum());
-        let h = reg.hist_mut(&format!("{prefix}.repl_ack_latency"));
-        for r in &self.repl_rounds {
+impl CoordMetrics {
+    /// Exports the counters under `{prefix}.`, plus the replication round
+    /// totals (`repl_rounds`, `repl_bytes`, `repl_records`) and the
+    /// `repl_ack_latency` histogram of acknowledged rounds.
+    pub fn export(&self, prefix: &str, snap: &mut TelemetrySnapshot) {
+        snap.add_counters(prefix, self.counters());
+        let rounds = &self.repl_rounds;
+        snap.add_counter(&format!("{prefix}.repl_rounds"), rounds.len() as u64);
+        snap.add_counter(&format!("{prefix}.repl_bytes"), rounds.iter().map(|r| r.bytes).sum());
+        snap.add_counter(&format!("{prefix}.repl_records"), rounds.iter().map(|r| r.records).sum());
+        let h = snap.hist_mut(&format!("{prefix}.repl_ack_latency"));
+        for r in rounds {
             if let Some(acked) = r.acked_at {
                 h.record_gap(acked.since(r.started));
             }
@@ -152,8 +145,8 @@ pub struct CoordinatorActor {
     server_mon: HeartbeatMonitor<u64>,
     /// Last delta received per peer coordinator (predecessor liveness).
     peer_mon: HeartbeatMonitor<u64>,
-    client_addr: BTreeMap<ClientKey, NodeId>,
-    server_addr: BTreeMap<ServerId, NodeId>,
+    /// Clients whose traffic reached this incarnation: the ones it serves.
+    clients_seen: std::collections::BTreeSet<ClientKey>,
     /// Per-successor acknowledged replication version.
     acked_version: BTreeMap<CoordId, u64>,
     /// Highest delta head applied *from* each predecessor (the peer's own
@@ -193,10 +186,6 @@ pub struct CoordinatorActor {
     /// Per-job lifecycle spans (durable with the database: spans survive a
     /// crash exactly as far as the state they describe does).
     spans: SpanBook,
-    /// Last heartbeat-equivalent contact per server (volatile, like the
-    /// suspicion monitor it shadows): lets a suspicion compute the real
-    /// detect gap `now − last_seen` for the failover span annotation.
-    server_last_seen: BTreeMap<u64, SimTime>,
     /// Virtual instant of the latest handled event — gives harness-invoked
     /// methods (e.g. [`Self::gc_now`]) a clock without a `Ctx`.
     clock: SimTime,
@@ -247,8 +236,7 @@ impl CoordinatorActor {
             server_mon: HeartbeatMonitor::new(suspicion),
             peer_mon: HeartbeatMonitor::new(peer_suspicion),
             params,
-            client_addr: BTreeMap::new(),
-            server_addr: BTreeMap::new(),
+            clients_seen: std::collections::BTreeSet::new(),
             acked_version: BTreeMap::new(),
             applied_head: BTreeMap::new(),
             snap_rx: BTreeMap::new(),
@@ -262,7 +250,6 @@ impl CoordinatorActor {
             metrics: CoordMetrics::default(),
             rx_counts: BTreeMap::new(),
             spans: SpanBook::new(),
-            server_last_seen: BTreeMap::new(),
             clock: SimTime::ZERO,
         }
     }
@@ -295,7 +282,7 @@ impl CoordinatorActor {
     /// map, so its beats, submissions, and collection pulls settle on this
     /// group (and its failover list never wanders into foreign shards).
     fn greet_client(&mut self, ctx: &mut Ctx<'_, Msg>, client: ClientKey, from: NodeId) {
-        if self.note_client(client, from) && self.params.directory.shard_count() > 1 {
+        if self.note_client(client) && self.params.directory.shard_count() > 1 {
             ctx.send(from, Msg::ShardMap { groups: self.params.directory.shard_groups() });
         }
     }
@@ -323,16 +310,16 @@ impl CoordinatorActor {
     /// received-message counts under `rx.`, and the streaming per-edge
     /// span series under `span.`.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut reg = Registry::new();
-        self.metrics.export_telemetry("coord", &mut reg);
-        self.db.stats().export_telemetry("db", &mut reg);
-        reg.set_gauge("db.resident_rows", self.db.resident_rows() as i64);
-        reg.set_gauge("coord.shard", self.my_shard as i64);
+        let mut snap = TelemetrySnapshot::default();
+        self.metrics.export("coord", &mut snap);
+        snap.add_counters("db", self.db.stats().counters());
+        snap.set_gauge("db.resident_rows", self.db.resident_rows() as i64);
+        snap.set_gauge("coord.shard", self.my_shard as i64);
         for (kind, n) in &self.rx_counts {
-            reg.set_counter(&format!("rx.{kind}"), *n);
+            snap.add_counter(&format!("rx.{kind}"), *n);
         }
-        self.spans.export_telemetry("span", &mut reg);
-        reg.snapshot()
+        self.spans.export("span", &mut snap);
+        snap
     }
 
     /// Charges a storage [`Charge`] to this node's resources; returns when
@@ -372,14 +359,14 @@ impl CoordinatorActor {
         }
     }
 
-    /// Records where `client` talks to us from, and on first contact
-    /// re-arms any parked missing-archive watches for their jobs: their
-    /// traffic arriving here means this coordinator now serves them, so
-    /// their unrecovered work enters the re-execution pipeline (with the
+    /// Records that `client` talks to us, and on first contact re-arms any
+    /// parked missing-archive watches for their jobs: their traffic
+    /// arriving here means this coordinator now serves them, so their
+    /// unrecovered work enters the re-execution pipeline (with the
     /// original stamps — a failover pays no fresh horizon).  Returns
     /// `true` on first contact.
-    fn note_client(&mut self, client: ClientKey, from: NodeId) -> bool {
-        if self.client_addr.insert(client, from).is_some() {
+    fn note_client(&mut self, client: ClientKey) -> bool {
+        if !self.clients_seen.insert(client) {
             return false;
         }
         let lo = JobKey { client, seq: 0 };
@@ -434,8 +421,6 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         self.server_mon.observe(server.0, now);
-        self.server_last_seen.insert(server.0, now);
-        self.server_addr.insert(server, from);
         // Intermittent-crash reconciliation: tasks this server should be
         // running but does not report were lost in a restart too quick for
         // the suspicion timeout.  The grace period covers assignments
@@ -545,8 +530,6 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         self.server_mon.observe(server.0, now);
-        self.server_last_seen.insert(server.0, now);
-        self.server_addr.insert(server, from);
         let (_outcome, charge) = self.db.complete_task(task, job, archive, server);
         let done = self.pay(ctx, charge);
         self.unwatch_missing(&job);
@@ -567,8 +550,6 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         self.server_mon.observe(server.0, now);
-        self.server_last_seen.insert(server.0, now);
-        self.server_addr.insert(server, from);
         // Integrity gate (shared digest discipline with result archives):
         // a frame whose digest or unit range fails verification is
         // rejected with the typed error — counted, logged, never recorded
@@ -972,9 +953,9 @@ impl CoordinatorActor {
             // bounded by the suspicion timeout plus one scan period) and
             // is stamped recovered when its replacement dispatches.
             let detect_gap = self
-                .server_last_seen
-                .get(&s)
-                .map(|&seen| now.since(seen))
+                .server_mon
+                .last_seen(s)
+                .map(|seen| now.since(seen))
                 .unwrap_or(self.params.cfg.suspicion);
             for id in created {
                 if let Some(row) = self.db.task(id) {
@@ -983,7 +964,6 @@ impl CoordinatorActor {
             }
             self.pay(ctx, charge);
             self.server_mon.forget(s);
-            self.server_last_seen.remove(&s);
         }
         // Predecessor suspicion ⇒ release its held ongoing tasks.
         for c in self.peer_mon.suspects(now) {
@@ -1029,7 +1009,7 @@ impl CoordinatorActor {
         // re-execution order assigns task ids, so it must not change).
         overdue.sort_unstable();
         for job in overdue {
-            if !self.client_addr.contains_key(&job.client) {
+            if !self.clients_seen.contains(&job.client) {
                 // Not serving this job's client: the coordinator that is
                 // owns recovery, and re-executing here would duplicate
                 // work grid-wide every horizon.  Park the watch; it
@@ -1225,7 +1205,7 @@ impl Actor<Msg> for CoordinatorActor {
                 self.handle_snapshot_chunk(ctx, from, peer, version, seq, total, payload);
             }
             Msg::StatusRequest { nonce } => {
-                // Live introspection: freeze the registry, seal it (same
+                // Live introspection: freeze the telemetry, seal it (same
                 // CRC-64 frame discipline as checkpoints and snapshots),
                 // and reply.  Building the snapshot reads the stats tables
                 // — charged as one indexed read.

@@ -14,7 +14,7 @@
 //! working as aliases for client 0.  On a live grid each tenant gets its
 //! own API handle (`GridClient::at(&grid, i)`), bound to client actor `i`.
 
-use rpcv_obs::{ExportTelemetry, Registry, TelemetrySnapshot};
+use rpcv_obs::TelemetrySnapshot;
 use rpcv_simnet::{HostSpec, LinkParams, NodeId, SimDuration, SimTime, World};
 use rpcv_xw::{ClientKey, CoordId, SandboxLimits, ServerId, ServiceRegistry};
 
@@ -319,41 +319,35 @@ impl SimGrid {
         self.client_results_at(0)
     }
 
-    /// Grid-wide telemetry: every live coordinator's snapshot aggregated
+    /// Grid-wide telemetry: every live coordinator's snapshot merged
     /// (counters add, histograms merge), each live server's and client's
-    /// metrics folded in under the `server.` / `client.` prefixes, the
-    /// network counters under `net.`, and — when kernel profiling is on —
-    /// the per-actor-class event accounting under `kernel.`.
+    /// metrics added under the `server.` / `client.` prefixes, the network
+    /// counters under `net.`, and — when kernel profiling is on — the
+    /// per-actor-class event accounting under `kernel.`.
     ///
     /// Deterministic: two same-seed runs produce byte-identical snapshots
     /// (and therefore byte-identical [`TelemetrySnapshot::to_json`]).
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut reg = Registry::new();
+        let mut snap = TelemetrySnapshot::default();
         for i in 0..self.coords.len() {
             if let Some(c) = self.coordinator(i) {
-                reg.absorb(&c.telemetry_snapshot());
+                snap.merge(&c.telemetry_snapshot());
             }
         }
-        // Per-actor exports set absolute values; folding each through its
-        // own registry turns the merge into summation across the fleet.
         for i in 0..self.servers.len() {
             if let Some(s) = self.server(i) {
-                let mut one = Registry::new();
-                s.metrics.export_telemetry("server", &mut one);
-                reg.merge(&one);
+                snap.add_counters("server", s.metrics.counters());
             }
         }
         for i in 0..self.clients.len() {
             if let Some(c) = self.client_at(i) {
-                let mut one = Registry::new();
-                c.metrics.export_telemetry("client", &mut one);
-                reg.merge(&one);
+                c.metrics.export("client", &mut snap);
             }
         }
-        self.world.stats().export_telemetry("net", &mut reg);
+        snap.add_counters("net", self.world.stats().counters());
         if let Some(p) = self.world.profile() {
-            p.export_telemetry("kernel", &mut reg);
+            snap.add_kernel_profile("kernel", p);
         }
-        reg.snapshot()
+        snap
     }
 }

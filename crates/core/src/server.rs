@@ -29,7 +29,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use rpcv_ckpt::{CheckpointFrame, VolatilityObserver};
 use rpcv_detect::CoordinatorList;
 use rpcv_log::{GcPolicy, PeerLog};
-use rpcv_obs::{ExportTelemetry, Registry};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
 use rpcv_xw::{
@@ -38,7 +37,7 @@ use rpcv_xw::{
 
 use crate::config::{ExecMode, ProtocolConfig};
 use crate::msg::Msg;
-use crate::util::{Deferred, Directory};
+use crate::util::{retry_horizon, Deferred, Directory};
 
 const K_BEAT: u64 = 1;
 const K_EXEC: u64 = 2;
@@ -51,53 +50,38 @@ const K_NUDGE: u64 = 5;
 /// Concurrent tasks per server (paper: effectively 1).
 const CAPACITY: usize = 1;
 
-/// Server-side observations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerMetrics {
-    /// Tasks whose execution completed here.
-    pub executed: u64,
-    /// Executions lost to crashes (no checkpoint).
-    pub lost_executions: u64,
-    /// Executions resumed from a checkpoint after a restart.
-    pub resumed: u64,
-    /// Archives re-sent from the local log during synchronization.
-    pub archives_resent: u64,
-    /// Coordinator switches.
-    pub coordinator_switches: u64,
-    /// Work units actually computed here: completions count the units each
-    /// execution ran (total minus its resume bank), crashes count the
-    /// partial progress thrown away.  `Σ units_spent − Σ job units` across
-    /// the grid is exactly the wasted work the checkpoint bench reports.
-    pub units_spent: u64,
-    /// Work units skipped thanks to a resume point (local or shipped by
-    /// the coordinator with the assignment).
-    pub units_resumed: u64,
-    /// Checkpoint frames uploaded to a coordinator.
-    pub ckpt_uploads: u64,
-    /// Checkpoint uploads acknowledged as durable by a coordinator.
-    pub ckpt_acks: u64,
-    /// Modelled checkpoint state bytes shipped (the byte budget the
-    /// adaptive policy is judged against).
-    pub ckpt_bytes: u64,
-    /// Frames that arrived unreadable (wire corruption) and were dropped
-    /// without touching protocol state.
-    pub bad_frames: u64,
-}
-
-impl ExportTelemetry for ServerMetrics {
-    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
-        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
-        c("executed", self.executed);
-        c("lost_executions", self.lost_executions);
-        c("resumed", self.resumed);
-        c("archives_resent", self.archives_resent);
-        c("coordinator_switches", self.coordinator_switches);
-        c("units_spent", self.units_spent);
-        c("units_resumed", self.units_resumed);
-        c("ckpt_uploads", self.ckpt_uploads);
-        c("ckpt_acks", self.ckpt_acks);
-        c("ckpt_bytes", self.ckpt_bytes);
-        c("bad_frames", self.bad_frames);
+rpcv_simnet::counters! {
+    /// Server-side observations.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct ServerMetrics {
+        /// Tasks whose execution completed here.
+        executed,
+        /// Executions lost to crashes (no checkpoint).
+        lost_executions,
+        /// Executions resumed from a checkpoint after a restart.
+        resumed,
+        /// Archives re-sent from the local log during synchronization.
+        archives_resent,
+        /// Coordinator switches.
+        coordinator_switches,
+        /// Work units actually computed here: completions count the units each
+        /// execution ran (total minus its resume bank), crashes count the
+        /// partial progress thrown away.  `Σ units_spent − Σ job units` across
+        /// the grid is exactly the wasted work the checkpoint bench reports.
+        units_spent,
+        /// Work units skipped thanks to a resume point (local or shipped by
+        /// the coordinator with the assignment).
+        units_resumed,
+        /// Checkpoint frames uploaded to a coordinator.
+        ckpt_uploads,
+        /// Checkpoint uploads acknowledged as durable by a coordinator.
+        ckpt_acks,
+        /// Modelled checkpoint state bytes shipped (the byte budget the
+        /// adaptive policy is judged against).
+        ckpt_bytes,
+        /// Frames that arrived unreadable (wire corruption) and were dropped
+        /// without touching protocol state.
+        bad_frames,
     }
 }
 
@@ -421,21 +405,10 @@ impl ServerActor {
         }
     }
 
-    /// Whether this archive may be (re)offered/(re)sent now, given the
-    /// size-aware exponential-backoff horizon.
+    /// Whether this archive may be (re)offered/(re)sent now: never sent,
+    /// or its size-aware backoff horizon has passed.
     fn may_send_result(&self, ctx: &Ctx<'_, Msg>, job: &JobKey, size: u64) -> bool {
-        match self.result_sent_at.get(job) {
-            None => true,
-            Some(&(at, attempts)) => {
-                let base = self.params.cfg.heartbeat * 2;
-                let bw = ctx.spec().nic_bw_out.max(1.0);
-                let transfer = rpcv_simnet::SimDuration::from_secs_f64(size as f64 / bw);
-                // Capped backoff: coordinators flap, and a stranded result
-                // blocks the client forever if the horizon runs away.
-                let horizon = base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4;
-                ctx.now().since(at) > horizon
-            }
-        }
+        !self.result_sent_at.contains_key(job) || ctx.now() > self.next_offer_at(ctx, job, size)
     }
 
     fn mark_result_sent(&mut self, now: SimTime, job: JobKey) {
@@ -449,11 +422,10 @@ impl ServerActor {
         match self.result_sent_at.get(job) {
             None => SimTime::ZERO,
             Some(&(at, attempts)) => {
-                let base = self.params.cfg.heartbeat * 2;
+                // Capped backoff: coordinators flap, and a stranded result
+                // blocks the client forever if the horizon runs away.
                 let bw = ctx.spec().nic_bw_out.max(1.0);
-                let transfer = rpcv_simnet::SimDuration::from_secs_f64(size as f64 / bw);
-                let horizon = base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4;
-                at + horizon
+                at + retry_horizon(self.params.cfg.heartbeat, attempts, size, bw)
             }
         }
     }

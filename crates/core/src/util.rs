@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use rpcv_simnet::{Ctx, NodeId, SimTime, TimerId};
+use rpcv_simnet::{Ctx, NodeId, SimDuration, SimTime, TimerId};
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId};
 
@@ -95,6 +95,17 @@ impl Directory {
     pub fn is_empty(&self) -> bool {
         self.coords.is_empty()
     }
+}
+
+/// How long after its latest send a transfer of `size` bytes at `bw`
+/// bytes/s may be retried, given `attempts` sends so far: two heartbeats
+/// doubled per attempt, plus four transfer times (a multi-megabyte payload
+/// legitimately spends that long in flight).  The doubling is capped at 32×
+/// so a peer that was unreachable for a while is retried within minutes
+/// once it returns — volatility is the norm here.
+pub fn retry_horizon(heartbeat: SimDuration, attempts: u32, size: u64, bw: f64) -> SimDuration {
+    let transfer = SimDuration::from_secs_f64(size as f64 / bw);
+    heartbeat * 2 * 2u64.saturating_pow(attempts.min(5)) + transfer * 4
 }
 
 /// Messages scheduled for a future instant (e.g. a reply that may only

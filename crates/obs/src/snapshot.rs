@@ -1,10 +1,18 @@
-//! Frozen, serializable telemetry snapshots.
+//! The telemetry snapshot: the one container for every series.
 //!
-//! A [`TelemetrySnapshot`] is a [`crate::Registry`] flattened into sorted
-//! vectors: stable JSON for humans and tooling, the wire codec plus a
-//! CRC-64 seal for `Msg::StatusReply` frames.  Two same-seed runs produce
-//! byte-identical snapshots — JSON and wire bytes both.
+//! A [`TelemetrySnapshot`] holds named counters, gauges and [`Histogram`]s
+//! keyed by dotted names (`coord.reexecutions`, `db.pending`,
+//! `span.submit_to_collect`, …) in `BTreeMap`s, so every traversal — and
+//! therefore every serialized byte — is machine-independent.  Actors keep
+//! their typed metrics structs and export into a snapshot on demand;
+//! nothing in the hot path allocates or hashes a string.  A snapshot
+//! renders as stable JSON for humans and tooling, and as the wire codec
+//! plus a CRC-64 seal for `Msg::StatusReply` frames.  Two same-seed runs
+//! produce byte-identical snapshots — JSON and wire bytes both.
 
+use std::collections::BTreeMap;
+
+use rpcv_simnet::KernelProfile;
 use rpcv_wire::{
     from_bytes, open_frame, seal_frame, to_bytes, Reader, WireDecode, WireEncode, WireError,
     WireWrite,
@@ -12,16 +20,15 @@ use rpcv_wire::{
 
 use crate::hist::Histogram;
 
-/// A frozen telemetry snapshot: counters, gauges and histograms sorted by
-/// name.  Built with [`crate::Registry::snapshot`].
+/// Counters, gauges and histograms, each keyed and ordered by name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Monotone counters, ascending by name.
-    pub counters: Vec<(String, u64)>,
-    /// Point-in-time gauges, ascending by name.
-    pub gauges: Vec<(String, i64)>,
-    /// Latency histograms, ascending by name.
-    pub hists: Vec<(String, Histogram)>,
+    /// Monotone counters.
+    pub counters: BTreeMap<String, u64>,
+    /// Point-in-time gauges.
+    pub gauges: BTreeMap<String, i64>,
+    /// Latency histograms.
+    pub hists: BTreeMap<String, Histogram>,
 }
 
 fn push_json_str(out: &mut String, s: &str) {
@@ -38,22 +45,95 @@ fn push_json_str(out: &mut String, s: &str) {
 }
 
 impl TelemetrySnapshot {
+    /// Adds `v` to counter `name` (creating it at zero).
+    pub fn add_counter(&mut self, name: &str, v: u64) {
+        if let Some(c) = self.counters.get_mut(name) {
+            *c += v;
+        } else {
+            self.counters.insert(name.to_owned(), v);
+        }
+    }
+
+    /// Adds every `(field, value)` of a metrics struct's counters to
+    /// `{prefix}.{field}`.
+    pub fn add_counters<'a>(
+        &mut self,
+        prefix: &str,
+        counters: impl IntoIterator<Item = (&'a str, u64)>,
+    ) {
+        for (field, v) in counters {
+            self.add_counter(&format!("{prefix}.{field}"), v);
+        }
+    }
+
+    /// Sets gauge `name` to `v` (last write wins).
+    pub fn set_gauge(&mut self, name: &str, v: i64) {
+        self.gauges.insert(name.to_owned(), v);
+    }
+
+    /// The histogram registered under `name`, created empty on first use.
+    pub fn hist_mut(&mut self, name: &str) -> &mut Histogram {
+        if !self.hists.contains_key(name) {
+            self.hists.insert(name.to_owned(), Histogram::new());
+        }
+        self.hists.get_mut(name).unwrap()
+    }
+
+    /// Merges `h` into the histogram under `name`.
+    pub fn merge_hist(&mut self, name: &str, h: &Histogram) {
+        self.hist_mut(name).merge(h);
+    }
+
+    /// Folds every entry of `other` into this snapshot: counters add,
+    /// gauges take `other`'s value, histograms merge.
+    pub fn merge(&mut self, other: &TelemetrySnapshot) {
+        for (k, v) in &other.counters {
+            self.add_counter(k, *v);
+        }
+        for (k, v) in &other.gauges {
+            self.set_gauge(k, *v);
+        }
+        for (k, h) in &other.hists {
+            self.merge_hist(k, h);
+        }
+    }
+
+    /// Adds the simnet kernel's per-actor-class event accounting under
+    /// `{prefix}.`: sample and control totals, `{class}.{starts, delivers,
+    /// handles, timers}`, and the `queue_depth` histogram.
+    pub fn add_kernel_profile(&mut self, prefix: &str, p: &KernelProfile) {
+        self.add_counter(&format!("{prefix}.samples"), p.samples());
+        self.add_counter(&format!("{prefix}.controls"), p.controls());
+        for (class, c) in p.classes() {
+            self.add_counters(
+                &format!("{prefix}.{class}"),
+                [
+                    ("starts", c.starts),
+                    ("delivers", c.delivers),
+                    ("handles", c.handles),
+                    ("timers", c.timers),
+                ],
+            );
+        }
+        let h = self.hist_mut(&format!("{prefix}.queue_depth"));
+        for (b, n) in p.depth_buckets() {
+            h.merge_bucket(b, n);
+        }
+    }
+
     /// Value of counter `name` (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-            .map(|i| self.counters[i].1)
-            .unwrap_or(0)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Value of gauge `name`, if present.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.binary_search_by(|(k, _)| k.as_str().cmp(name)).map(|i| self.gauges[i].1).ok()
+        self.gauges.get(name).copied()
     }
 
     /// Histogram `name`, if present.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.binary_search_by(|(k, _)| k.as_str().cmp(name)).map(|i| &self.hists[i].1).ok()
+        self.hists.get(name)
     }
 
     /// Stable JSON rendering: keys sorted, integers only, no whitespace
@@ -131,33 +211,26 @@ impl WireEncode for TelemetrySnapshot {
 
 impl WireDecode for TelemetrySnapshot {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        fn sorted_keys<T>(v: &[(String, T)]) -> bool {
-            v.windows(2).all(|w| w[0].0 < w[1].0)
+        /// Reads one name-keyed section, rejecting names that are not
+        /// strictly ascending (unsorted or duplicate).
+        fn section<T>(
+            r: &mut Reader<'_>,
+            value: impl Fn(&mut Reader<'_>) -> Result<T, WireError>,
+        ) -> Result<BTreeMap<String, T>, WireError> {
+            let mut out = BTreeMap::new();
+            for _ in 0..r.get_seq_len()? {
+                let k = r.get_string()?;
+                let v = value(r)?;
+                if out.keys().next_back().is_some_and(|last| *last >= k) {
+                    return Err(WireError::InvalidTag { ty: "TelemetrySnapshot order", tag: 0 });
+                }
+                out.insert(k, v);
+            }
+            Ok(out)
         }
-        let n = r.get_seq_len()?;
-        let mut counters = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let k = r.get_string()?;
-            let v = r.get_uvarint()?;
-            counters.push((k, v));
-        }
-        let n = r.get_seq_len()?;
-        let mut gauges = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let k = r.get_string()?;
-            let v = r.get_ivarint()?;
-            gauges.push((k, v));
-        }
-        let n = r.get_seq_len()?;
-        let mut hists = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let k = r.get_string()?;
-            let h = Histogram::decode(r)?;
-            hists.push((k, h));
-        }
-        if !sorted_keys(&counters) || !sorted_keys(&gauges) || !sorted_keys(&hists) {
-            return Err(WireError::InvalidTag { ty: "TelemetrySnapshot order", tag: 0 });
-        }
+        let counters = section(r, |r| r.get_uvarint())?;
+        let gauges = section(r, |r| r.get_ivarint())?;
+        let hists = section(r, Histogram::decode)?;
         Ok(TelemetrySnapshot { counters, gauges, hists })
     }
 }
@@ -165,17 +238,53 @@ impl WireDecode for TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
     use rpcv_simnet::SimDuration;
 
     fn sample() -> TelemetrySnapshot {
-        let mut reg = Registry::new();
-        reg.add_counter("coord.reexecutions", 3);
-        reg.add_counter("db.jobs", 41);
-        reg.set_gauge("db.pending", 5);
-        reg.hist_mut("span.submit_to_collect").record_gap(SimDuration::from_millis(120));
-        reg.hist_mut("span.submit_to_collect").record_gap(SimDuration::from_millis(340));
-        reg.snapshot()
+        let mut snap = TelemetrySnapshot::default();
+        snap.add_counter("coord.reexecutions", 3);
+        snap.add_counter("db.jobs", 41);
+        snap.set_gauge("db.pending", 5);
+        snap.hist_mut("span.submit_to_collect").record_gap(SimDuration::from_millis(120));
+        snap.hist_mut("span.submit_to_collect").record_gap(SimDuration::from_millis(340));
+        snap
+    }
+
+    #[test]
+    fn counters_add_and_gauges_overwrite() {
+        let mut snap = TelemetrySnapshot::default();
+        snap.add_counter("a.x", 2);
+        snap.add_counter("a.x", 3);
+        snap.set_gauge("a.g", -4);
+        snap.set_gauge("a.g", 9);
+        assert_eq!(snap.counter("a.x"), 5);
+        assert_eq!(snap.gauge("a.g"), Some(9));
+        assert_eq!(snap.counter("missing"), 0);
+    }
+
+    #[test]
+    fn merge_combines_all_kinds() {
+        let mut a = TelemetrySnapshot::default();
+        let mut b = TelemetrySnapshot::default();
+        a.add_counter("n", 1);
+        b.add_counter("n", 2);
+        b.set_gauge("g", 7);
+        b.hist_mut("h").record_gap(SimDuration::from_millis(3));
+        a.merge(&b);
+        a.merge(&b);
+        assert_eq!(a.counter("n"), 5);
+        assert_eq!(a.gauge("g"), Some(7));
+        assert_eq!(a.hist("h").unwrap().count(), 2);
+    }
+
+    #[test]
+    fn counters_export_under_prefix_and_add_up() {
+        let mut snap = TelemetrySnapshot::default();
+        snap.add_counters("db", [("jobs", 7), ("pending", 2), ("tasks", 0)]);
+        snap.add_counters("db", [("jobs", 1)]);
+        assert_eq!(snap.counter("db.jobs"), 8);
+        assert_eq!(snap.counter("db.pending"), 2);
+        assert!(snap.counters.contains_key("db.tasks"), "zero counters are exported too");
     }
 
     #[test]
@@ -214,10 +323,22 @@ mod tests {
 
     #[test]
     fn decode_rejects_unsorted_keys() {
-        let mut snap = sample();
-        snap.counters.swap(0, 1);
-        let bytes = to_bytes(&snap);
-        assert!(from_bytes::<TelemetrySnapshot>(&bytes).is_err());
+        // Hand-encoded counter sections: the encoder can only emit sorted
+        // names, so descending and duplicate names are written directly.
+        let counters = |names: &[&str]| {
+            let mut w = rpcv_wire::Writer::new();
+            w.put_uvarint(names.len() as u64);
+            for name in names {
+                w.put_str(name);
+                w.put_uvarint(1);
+            }
+            w.put_uvarint(0); // no gauges
+            w.put_uvarint(0); // no histograms
+            w.into_vec()
+        };
+        assert!(from_bytes::<TelemetrySnapshot>(&counters(&["a", "b"])).is_ok());
+        assert!(from_bytes::<TelemetrySnapshot>(&counters(&["b", "a"])).is_err(), "descending");
+        assert!(from_bytes::<TelemetrySnapshot>(&counters(&["a", "a"])).is_err(), "duplicate");
     }
 
     #[test]

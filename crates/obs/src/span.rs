@@ -21,7 +21,7 @@ use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_xw::JobKey;
 
 use crate::hist::Histogram;
-use crate::registry::{ExportTelemetry, Registry};
+use crate::snapshot::TelemetrySnapshot;
 
 /// A lifecycle edge in a job's span timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,24 +149,26 @@ impl SpanBook {
             self.recovery_gaps.record_gap(now.since(suspected_at));
         }
     }
-}
 
-impl ExportTelemetry for SpanBook {
-    /// Registers `{prefix}.jobs`; once any span exists, the
+    /// Exports `{prefix}.jobs`; once any span exists, the
     /// `failovers` / `reexecutions` / `checkpoints` totals; and every
     /// non-empty gap histogram: `{prefix}.{a}_to_{b}`,
     /// `submit_to_collect`, `failover_detect_gap`, `failover_recovery_gap`.
-    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
-        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
-        c("jobs", self.jobs.len() as u64);
+    pub fn export(&self, prefix: &str, snap: &mut TelemetrySnapshot) {
+        snap.add_counter(&format!("{prefix}.jobs"), self.jobs.len() as u64);
         if !self.jobs.is_empty() {
-            c("failovers", self.failovers);
-            // Every failover queues exactly one replacement instance.
-            c("reexecutions", self.failovers);
-            c("checkpoints", self.checkpoints);
+            snap.add_counters(
+                prefix,
+                [
+                    ("failovers", self.failovers),
+                    // Every failover queues exactly one replacement instance.
+                    ("reexecutions", self.failovers),
+                    ("checkpoints", self.checkpoints),
+                ],
+            );
         }
         for ((a, b), h) in &self.edge_gaps {
-            reg.merge_hist(&format!("{prefix}.{}_to_{}", a.name(), b.name()), h);
+            snap.merge_hist(&format!("{prefix}.{}_to_{}", a.name(), b.name()), h);
         }
         for (field, h) in [
             ("submit_to_collect", &self.submit_to_collect),
@@ -174,7 +176,7 @@ impl ExportTelemetry for SpanBook {
             ("failover_recovery_gap", &self.recovery_gaps),
         ] {
             if !h.is_empty() {
-                reg.merge_hist(&format!("{prefix}.{field}"), h);
+                snap.merge_hist(&format!("{prefix}.{field}"), h);
             }
         }
     }
@@ -183,7 +185,6 @@ impl ExportTelemetry for SpanBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TelemetrySnapshot;
     use rpcv_xw::ClientKey;
 
     fn key(seq: u64) -> JobKey {
@@ -191,9 +192,9 @@ mod tests {
     }
 
     fn snapshot(book: &SpanBook) -> TelemetrySnapshot {
-        let mut reg = Registry::new();
-        book.export_telemetry("span", &mut reg);
-        reg.snapshot()
+        let mut snap = TelemetrySnapshot::default();
+        book.export("span", &mut snap);
+        snap
     }
 
     /// `(count, sum)` of histogram `name`, `(0, 0)` when absent.
@@ -204,7 +205,7 @@ mod tests {
     #[test]
     fn empty_book_exports_only_the_job_count() {
         let snap = snapshot(&SpanBook::new());
-        assert_eq!(snap.counters, vec![("span.jobs".to_owned(), 0)]);
+        assert_eq!(snap.counters, [("span.jobs".to_owned(), 0)].into());
         assert!(snap.hists.is_empty());
     }
 

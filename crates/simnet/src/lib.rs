@@ -68,6 +68,7 @@
 
 pub mod actor;
 pub mod chaos;
+mod counters;
 pub mod disk;
 pub mod net;
 pub mod node;

@@ -192,34 +192,36 @@ impl Default for Trace {
     }
 }
 
-/// Aggregate message-plane statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages handed to the network.
-    pub sent: u64,
-    /// Messages delivered to actors.
-    pub delivered: u64,
-    /// Dropped because the pair was blocked.
-    pub dropped_partition: u64,
-    /// Dropped by random loss.
-    pub dropped_loss: u64,
-    /// Dropped because the destination was down.
-    pub dropped_down: u64,
-    /// Total payload bytes handed to the network.
-    pub bytes_sent: u64,
-    /// Crashes injected.
-    pub crashes: u64,
-    /// Restarts performed.
-    pub restarts: u64,
-    /// Messages duplicated by a link (extra copies scheduled, on top of
-    /// `sent`: conservation reads `sent + duplicated == delivered +
-    /// dropped_total()` after a drain).
-    pub duplicated: u64,
-    /// Messages corrupted in flight (still delivered — and therefore also
-    /// counted under `delivered` or a drop, never subtracted).
-    pub corrupted: u64,
-    /// Messages held back by a reorder delay (still delivered).
-    pub reordered: u64,
+crate::counters! {
+    /// Aggregate message-plane statistics.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct NetStats {
+        /// Messages handed to the network.
+        sent,
+        /// Messages delivered to actors.
+        delivered,
+        /// Dropped because the pair was blocked.
+        dropped_partition,
+        /// Dropped by random loss.
+        dropped_loss,
+        /// Dropped because the destination was down.
+        dropped_down,
+        /// Total payload bytes handed to the network.
+        bytes_sent,
+        /// Crashes injected.
+        crashes,
+        /// Restarts performed.
+        restarts,
+        /// Messages duplicated by a link (extra copies scheduled, on top of
+        /// `sent`: conservation reads `sent + duplicated == delivered +
+        /// dropped_total()` after a drain).
+        duplicated,
+        /// Messages corrupted in flight (still delivered — and therefore also
+        /// counted under `delivered` or a drop, never subtracted).
+        corrupted,
+        /// Messages held back by a reorder delay (still delivered).
+        reordered,
+    }
 }
 
 impl NetStats {

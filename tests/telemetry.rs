@@ -1,7 +1,7 @@
 //! Telemetry determinism, end to end.
 //!
 //! The observability plane is part of the modelled state: histograms are
-//! recorded over *virtual* time, registries flatten into sorted vectors,
+//! recorded over *virtual* time, every series is keyed in sorted maps,
 //! and the whole snapshot serializes without a single wall-clock or
 //! platform dependence.  So the plane inherits the model's headline
 //! guarantee — two same-seed runs produce byte-identical telemetry —
@@ -9,10 +9,11 @@
 //! single modelled series (observation is free).
 
 use rpcv::core::chaos::ChaosOracle;
+use rpcv::core::config::ProtocolConfig;
 use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::util::CallSpec;
 use rpcv::obs::TelemetrySnapshot;
-use rpcv::simnet::SimTime;
+use rpcv::simnet::{SimDuration, SimTime};
 use rpcv::wire::Blob;
 
 fn plan(n: usize) -> Vec<CallSpec> {
@@ -82,10 +83,12 @@ fn profiling_adds_kernel_series_without_touching_the_model() {
             && !off.hists.iter().any(|(k, _)| k.starts_with("kernel.")),
         "profiling off must export no kernel series"
     );
-    let strip = |s: &TelemetrySnapshot| TelemetrySnapshot {
-        counters: s.counters.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
-        gauges: s.gauges.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
-        hists: s.hists.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
+    let strip = |s: &TelemetrySnapshot| {
+        let mut s = s.clone();
+        s.counters.retain(|k, _| !k.starts_with("kernel."));
+        s.gauges.retain(|k, _| !k.starts_with("kernel."));
+        s.hists.retain(|k, _| !k.starts_with("kernel."));
+        s
     };
     assert_eq!(strip(&on), strip(&off), "the profiler must not perturb modelled series");
 }
@@ -112,4 +115,24 @@ fn telemetry_json_matches_pinned_digests() {
     );
     assert_eq!(chaos.telemetry.hist("span.failover_recovery_gap"), Some(&chaos.recovery_gaps));
     assert_eq!(digest(&chaos.telemetry), 0xf5b9_d179_1a64_15f0, "chaos telemetry drifted");
+}
+
+/// The sharded face of the pin: 2 shards of 2 coordinators, 4 clients
+/// hashing to both shards, 6 servers.  Clients bootstrap against a flat
+/// list, so every shard-map redirect, replayed submission and
+/// cross-shard work request shows up in the series.
+#[test]
+fn sharded_telemetry_json_matches_pinned_digest() {
+    let cfg = ProtocolConfig::confined().with_heartbeat(SimDuration::from_secs(1));
+    let spec = GridSpec::confined(2, 6)
+        .with_shards(2)
+        .with_cfg(cfg)
+        .with_client_plans((0..4).map(|_| plan(6)).collect())
+        .with_seed(0x51A2D);
+    let mut g = SimGrid::build(spec);
+    g.run_until_done(SimTime::from_secs(1800)).expect("workload completes");
+    let snap = g.telemetry();
+    assert!(snap.counter("span.jobs") >= 24, "every job spanned");
+    assert!(snap.counter("coord.shard_redirects") > 0, "clients must be redirected");
+    assert_eq!(digest(&snap), 0x0ad1_4bfc_8ffa_be63, "sharded telemetry drifted");
 }
