@@ -606,10 +606,11 @@ impl ClientActor {
 
     /// The continuation variant: chained to a just-completed
     /// [`Msg::ResultsReply`] round trip, so the pacing floor does not
-    /// apply — a windowed transfer must run at line rate, one request in
-    /// flight at a time, or a backlogged client drains at 64 results per
-    /// heartbeat and the collection tail dominates the whole run's
-    /// makespan (identically at every shard count).
+    /// apply — a windowed transfer runs at line rate, one request in
+    /// flight at a time, instead of one 64-result window per heartbeat.
+    /// A round trip costs tens of milliseconds on an idle coordinator;
+    /// a long round trip means the coordinator's archive disk is behind,
+    /// since every archive fetch is read after the queued writes.
     fn pull_missing_continuation(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.pull_missing_inner(ctx, true);
     }

@@ -7,6 +7,14 @@
 //! servers — every client/server-facing message here is a *reply*, possibly
 //! deferred until the database operation backing it completed (which is
 //! how database cost shows up in every latency the paper measures).
+//!
+//! Result archives are group-committed: a `TaskDone` whose archive meets
+//! an idle archive disk is written at once, while archives arriving during
+//! an in-flight write are flushed together, as one sequential write, the
+//! instant it returns.  Each `TaskDoneAck` still leaves only once its
+//! archive is written, but a loaded coordinator pays one disk op per group
+//! instead of one per result, so collection reads no longer queue behind
+//! a backlog of per-archive writes.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +36,7 @@ type SnapReassembly = (u64, u32, BTreeMap<u32, Vec<u8>>);
 const K_SCAN: u64 = 1;
 const K_REPL: u64 = 2;
 const K_SEND: u64 = 3;
+const K_FLUSH: u64 = 4;
 
 /// One replication round's observations (drives Fig. 5).
 #[derive(Debug, Clone, Copy)]
@@ -189,6 +198,15 @@ pub struct CoordinatorActor {
     /// Virtual instant of the latest handled event — gives harness-invoked
     /// methods (e.g. [`Self::gc_now`]) a clock without a `Ctx`.
     clock: SimTime,
+    /// Archive group commit (volatile): `TaskDoneAck`s whose archives wait
+    /// for the next group write, each with its database completion time.
+    /// Non-empty exactly while a `K_FLUSH` timer is armed.
+    archive_group: Vec<(NodeId, Msg, SimTime)>,
+    /// Summed archive bytes of `archive_group`.
+    archive_group_bytes: u64,
+    /// When the last archive write returns: before then the archive disk
+    /// is busy and new archives join the pending group.
+    archive_write_returns: SimTime,
 }
 
 impl CoordinatorActor {
@@ -251,6 +269,9 @@ impl CoordinatorActor {
             rx_counts: BTreeMap::new(),
             spans: SpanBook::new(),
             clock: SimTime::ZERO,
+            archive_group: Vec::new(),
+            archive_group_bytes: 0,
+            archive_write_returns: SimTime::ZERO,
         }
     }
 
@@ -331,6 +352,40 @@ impl CoordinatorActor {
             db_done.max(disk.returned_at)
         } else {
             db_done
+        }
+    }
+
+    /// [`Self::pay`] for a result archive, with group commit: on an idle
+    /// archive disk the archive is written at once (exactly `pay`); while
+    /// a write is in flight it joins the pending group, which is flushed
+    /// as one sequential write the instant that write returns.  `ack`
+    /// leaves at `max(db_done, its write's return)` — the ack still means
+    /// "archive written", only the per-op seek is shared.
+    fn commit_archive(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, ack: Msg, charge: Charge) {
+        let db_done = ctx.db(charge.db_ops, charge.db_bytes);
+        if charge.disk_bytes == 0 {
+            self.deferred.send_at(ctx, db_done, to, ack, K_SEND, 0);
+        } else if !self.archive_group.is_empty() || ctx.now() < self.archive_write_returns {
+            if self.archive_group.is_empty() {
+                ctx.set_timer_at(self.archive_write_returns, K_FLUSH);
+            }
+            self.archive_group.push((to, ack, db_done));
+            self.archive_group_bytes += charge.disk_bytes;
+        } else {
+            let returned = ctx.disk_write(charge.disk_bytes, false).returned_at;
+            self.archive_write_returns = returned;
+            self.deferred.send_at(ctx, db_done.max(returned), to, ack, K_SEND, 0);
+        }
+    }
+
+    /// Writes the pending archive group with one disk op and schedules its
+    /// acks.
+    fn flush_archives(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let bytes = std::mem::take(&mut self.archive_group_bytes);
+        let returned = ctx.disk_write(bytes, false).returned_at;
+        self.archive_write_returns = returned;
+        for (to, ack, db_done) in std::mem::take(&mut self.archive_group) {
+            self.deferred.send_at(ctx, db_done.max(returned), to, ack, K_SEND, 0);
         }
     }
 
@@ -531,14 +586,13 @@ impl CoordinatorActor {
         let now = ctx.now();
         self.server_mon.observe(server.0, now);
         let (_outcome, charge) = self.db.complete_task(task, job, archive, server);
-        let done = self.pay(ctx, charge);
+        self.commit_archive(ctx, from, Msg::TaskDoneAck { task, job }, charge);
         self.unwatch_missing(&job);
         self.spans.mark(job, SpanEdge::Finished, now);
         if self.db.archive(&job).is_some() {
             self.spans.mark(job, SpanEdge::ArchiveStored, now);
         }
         self.record_completion(now);
-        self.deferred.send_at(ctx, done, from, Msg::TaskDoneAck { task, job }, K_SEND, 0);
     }
 
     fn handle_ckpt_offer(
@@ -1245,6 +1299,7 @@ impl Actor<Msg> for CoordinatorActor {
             K_SEND => {
                 let _ = self.deferred.fire(ctx, id);
             }
+            K_FLUSH => self.flush_archives(ctx),
             _ => {}
         }
     }
@@ -1257,5 +1312,170 @@ impl Actor<Msg> for CoordinatorActor {
             metrics: self.metrics.clone(),
             spans: self.spans.clone(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::calibration::confined_coordinator;
+    use rpcv_simnet::{HostResources, HostSpec, LinkParams, SimDuration, World};
+    use rpcv_wire::Blob;
+    use rpcv_xw::{JobSpec, TaskId};
+
+    const MB: u64 = 1 << 20;
+
+    /// A server stand-in: sends its scripted messages to the coordinator at
+    /// their instants and records when each `TaskDoneAck` arrives.
+    struct Probe {
+        coord: NodeId,
+        script: Vec<(SimTime, Option<Msg>)>,
+        acks: Vec<(JobKey, SimTime)>,
+    }
+
+    impl Actor<Msg> for Probe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            for (i, (at, _)) in self.script.iter().enumerate() {
+                ctx.set_timer_at(*at, i as u64);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+            if let Msg::TaskDoneAck { job, .. } = msg {
+                self.acks.push((job, ctx.now()));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _id: TimerId, kind: u64) {
+            if let Some(msg) = self.script[kind as usize].1.take() {
+                ctx.send(self.coord, msg);
+            }
+        }
+    }
+
+    /// Zero-cost network, so an ack arrives at the instant it was sent.
+    fn free_nic(spec: HostSpec) -> HostSpec {
+        spec.with_nic_bw(f64::INFINITY).with_nic_per_op(SimDuration::ZERO)
+    }
+
+    fn job(seq: u64) -> JobKey {
+        JobKey::new(ClientKey::new(1, 1), seq)
+    }
+
+    fn done(seq: u64, archive_bytes: u64) -> Msg {
+        Msg::TaskDone {
+            server: ServerId(1),
+            task: TaskId(seq),
+            job: job(seq),
+            archive: Blob::synthetic(archive_bytes, seq),
+        }
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    /// Runs a one-coordinator grid that knows jobs `1..=jobs` against the
+    /// probe's `script`; returns every ack's arrival and the coordinator's
+    /// disk op count.
+    fn run(jobs: u64, script: &[(SimTime, Msg)]) -> (Vec<(JobKey, SimTime)>, u64) {
+        let mut world: World<Msg> = World::new(7);
+        world.net_mut().set_default(LinkParams {
+            latency: SimDuration::ZERO,
+            jitter: SimDuration::ZERO,
+            ..LinkParams::lan()
+        });
+        let coord = world.add_host(free_nic(confined_coordinator()));
+        let probe = world.add_host(free_nic(HostSpec::named("probe")));
+        let params = CoordParams {
+            me: CoordId(1),
+            cfg: ProtocolConfig::confined(),
+            directory: Directory::new([(CoordId(1), coord)]),
+        };
+        world.install(coord, CoordinatorActor::factory(params));
+        let actor = world.actor_mut::<CoordinatorActor>(coord).unwrap();
+        for seq in 1..=jobs {
+            actor.db.register_job(JobSpec::new(job(seq), "svc", Blob::empty()));
+        }
+        let script: Vec<(SimTime, Msg)> = script.to_vec();
+        world.install(probe, move |_| {
+            let script = script.iter().map(|(at, m)| (*at, Some(m.clone()))).collect();
+            Box::new(Probe { coord, script, acks: Vec::new() })
+        });
+        world.run_until(SimTime::from_secs(1));
+        let acks = world.actor::<Probe>(probe).unwrap().acks.clone();
+        (acks, world.resources(coord).disk.ops())
+    }
+
+    /// Fresh copies of the coordinator's database and disk: the reference
+    /// timings below replay the charges on them.
+    fn reference() -> (HostSpec, HostResources) {
+        let spec = confined_coordinator();
+        let res = HostResources::new(&spec);
+        (spec, res)
+    }
+
+    /// The database completion of a `TaskDone`'s two row writes at `at`.
+    fn db_done(spec: &HostSpec, res: &mut HostResources, at: SimTime) -> SimTime {
+        res.db.acquire(at, spec.db_per_op * 2).end
+    }
+
+    #[test]
+    fn idle_disk_acks_exactly_like_a_direct_write() {
+        let (acks, ops) = run(2, &[(ms(100), done(1, MB)), (ms(500), done(2, 64))]);
+        // Each archive meets an idle disk: the ack leaves when both its
+        // rows and its own archive write land, as `pay` would have it.
+        let (spec, mut res) = reference();
+        let expected: Vec<(JobKey, SimTime)> = [(1, 100, MB), (2, 500, 64)]
+            .into_iter()
+            .map(|(seq, at, bytes)| {
+                let db = db_done(&spec, &mut res, ms(at));
+                (job(seq), db.max(res.disk.write_cached(ms(at), bytes).returned_at))
+            })
+            .collect();
+        assert_eq!(acks, expected);
+        assert_eq!(ops, 2);
+        // The 1 MB write, not the database, decides the first ack.
+        assert!(expected[0].1 > ms(100) + spec.db_per_op * 2);
+    }
+
+    #[test]
+    fn archives_arriving_during_a_write_share_one_group_write() {
+        let arrivals = [(2, 110), (3, 111), (4, 112), (5, 113)];
+        let mut script = vec![(ms(100), done(1, MB))];
+        script.extend(arrivals.iter().map(|&(seq, at)| (ms(at), done(seq, MB))));
+        let (acks, ops) = run(5, &script);
+        assert_eq!(ops, 2, "four archives during the first write cost one more disk op");
+
+        let (spec, mut res) = reference();
+        let db0 = db_done(&spec, &mut res, ms(100));
+        let first = res.disk.write_cached(ms(100), MB).returned_at;
+        assert!(first > ms(113), "the later archives arrive while the first write is in flight");
+        let dbs: Vec<SimTime> =
+            arrivals.iter().map(|&(_, at)| db_done(&spec, &mut res, ms(at))).collect();
+        // The group is flushed the instant the first write returns, as one
+        // write of the summed bytes.
+        let group = res.disk.write_cached(first, 4 * MB).returned_at;
+        let mut expected = vec![(job(1), db0.max(first))];
+        expected
+            .extend(arrivals.iter().zip(&dbs).map(|(&(seq, _), &db)| (job(seq), db.max(group))));
+        assert_eq!(acks, expected);
+        for (_, at) in &acks[1..] {
+            assert!(*at >= group, "no ack leaves before its group's write returned");
+        }
+    }
+
+    #[test]
+    fn duplicate_task_done_is_acked_at_its_db_completion() {
+        // The duplicate carries no new archive, so it neither waits for the
+        // in-flight write nor costs a disk op.
+        let (acks, ops) = run(1, &[(ms(100), done(1, MB)), (ms(105), done(1, MB))]);
+        let (spec, mut res) = reference();
+        let db0 = db_done(&spec, &mut res, ms(100));
+        let first = res.disk.write_cached(ms(100), MB).returned_at;
+        let dup = db_done(&spec, &mut res, ms(105));
+        assert!(dup < first);
+        assert_eq!(acks, vec![(job(1), dup), (job(1), db0.max(first))]);
+        assert_eq!(ops, 1);
     }
 }
